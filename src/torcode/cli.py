@@ -30,7 +30,6 @@ from .binforms import (
 )
 from .betasym import InadmissibleWordError
 from .intmat import Mat2
-from .qfield import SearchBoundExceeded
 from .schemas import SCHEMA_VERSION
 
 
@@ -312,7 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if param:
             p.add_argument("--param", required=True, help='coding parameters "p,q"')
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--bound", type=int, default=0, help="bound for brute-force oracles")
 
     p = sub.add_parser("analyze", help="full report for one matrix")
     common(p)
@@ -364,7 +362,7 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
         return 1 if exc.code else 0
     try:
         return args.func(args, out)
-    except (SearchBoundExceeded, UnsupportedRangeError) as exc:
+    except UnsupportedRangeError as exc:
         print(f"bound exceeded: {exc}", file=sys.stderr)
         return 2
     except (InputError, InadmissibleWordError, ValueError) as exc:

@@ -37,7 +37,7 @@ from .glz import (
     kernel_group,
     require_hyperbolic,
 )
-from .qfield import QuadExt, as_integer_combination, dominant_eigenvalue, unit_group_of_order
+from .qfield import QuadExt, as_integer_combination, dominant_eigenvalue, order_generator
 
 
 @dataclass(frozen=True)
@@ -184,10 +184,8 @@ def bac_family_info(m: Mat2):
     b = conjugator_to_companion(m)
     if b is None:
         return None
-    ug = unit_group_of_order(r, sigma)
-    lam = dominant_eigenvalue(r, sigma)
-    exceptional = ug.order_generator != lam
-    return b, ug.order_generator, exceptional
+    gen = order_generator(r, sigma)
+    return b, gen, gen != dominant_eigenvalue(r, sigma)
 
 
 def enumerate_bac(m: Mat2, k_range: tuple[int, int] = (-3, 3)) -> list[CodingSpec]:

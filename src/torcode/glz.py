@@ -8,13 +8,7 @@ from typing import Optional
 
 from .binforms import associated_form, base_solutions_pm, improperly_equivalent_to_negative, integral_minimum, properly_equivalent, represent
 from .intmat import Mat2, lattice_span_index, smith_normal_form
-from .qfield import (
-    QuadExt,
-    SearchBoundExceeded,
-    dominant_eigenvalue,
-    field_fundamental_unit,
-    hyperbolic_params_ok,
-)
+from .qfield import QuadExt, dominant_eigenvalue, hyperbolic_params_ok, pell_fundamental_unit, unit_exponent
 
 UniMat = Mat2
 
@@ -106,49 +100,35 @@ def is_conjugate(m1: Mat2, m2: Mat2) -> Optional[Mat2]:
     return None
 
 
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
-def is_primitive(m: Mat2, max_exponent: int = 200) -> tuple[bool, Optional[tuple[Mat2, int]]]:
+def is_primitive(m: Mat2) -> tuple[bool, Optional[tuple[Mat2, int]]]:
     """Whether no K in GL(2,Z) satisfies K^n = M with n >= 2.
 
     When non-primitive, returns a root K and the largest exponent n with
-    K^n = M.  The candidate roots K = alpha*I + beta*M are built from unit
-    roots of the dominant eigenvalue in the maximal order.
+    K^n = M.  Every root commutes with M, so K = alpha*I + beta*M with
+    eigenvalue a unit of M's commutant: the order of discriminant D/g^2,
+    g the content of the associated form.  With eps the fundamental unit
+    of that order, lam = eps^k, the roots are +-(the matrix of eps)^(k/n),
+    and M is primitive exactly when k = 1.
     """
     r, sigma, D = require_hyperbolic(m)
     if r < 0:
         raise ValueError("normalize the trace first")
     lam = dominant_eigenvalue(r, sigma)
-    eps = field_fundamental_unit(D)
-    power = eps
-    k = None
-    for j in range(1, max_exponent + 1):
-        if power == lam:
-            k = j
-            break
-        if power > lam:
-            break
-        power = power * eps
-    if k is None:
-        raise SearchBoundExceeded(f"eigenvalue of {m} is not a fundamental-unit power up to {max_exponent}")
-    sq_d = QuadExt.sqrt_d(D)
-    for n in sorted((d for d in _divisors(k) if d >= 2), reverse=True):
-        for sign in (1, -1):
-            if sign == -1 and n % 2 == 1:
-                continue
-            mu = (eps ** (k // n)) * sign
-            beta = ((mu - mu.conj()) / sq_d).as_fraction()
-            alpha = (mu - beta * lam).as_fraction()
-            entries = [alpha + beta * m.a, beta * m.b, beta * m.c, alpha + beta * m.d]
-            if any(e.denominator != 1 for e in entries):
-                continue
-            root = Mat2(*(int(e) for e in entries))
-            assert root.is_unimodular() and root ** n == m
-            return (False, (root, n))
-    return (True, None)
+    g = associated_form(m).content
+    u = pell_fundamental_unit(D // (g * g))
+    eps = QuadExt(u.p * g, u.q, u.s * g, D)  # (x + y*sqrt(D/g^2))/s over sqrt(D)
+    k = unit_exponent(eps, lam)
+    if k == 1:
+        return (True, None)
+    beta = ((eps - eps.conj()) / QuadExt.sqrt_d(D)).as_fraction()
+    alpha = (eps - beta * lam).as_fraction()
+    entries = [alpha + beta * m.a, beta * m.b, beta * m.c, alpha + beta * m.d]
+    if any(e.denominator != 1 for e in entries):
+        raise RuntimeError(f"commutant unit {eps} of {m} gives a non-integral root")
+    root = Mat2(*(int(e) for e in entries))
+    if not root.is_unimodular() or root ** k != m:
+        raise RuntimeError(f"root {root} does not give {m} at exponent {k}")
+    return (False, (root, k))
 
 
 def orbit_span_full(m: Mat2, x: int, y: int) -> bool:

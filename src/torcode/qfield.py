@@ -19,7 +19,7 @@ class FieldMismatchError(ValueError):
 
 
 class SearchBoundExceeded(RuntimeError):
-    """A bounded search (Pell solver, unit exponent, squarefree split) ran out."""
+    """A bounded search (the trial division of squarefree_split) ran out."""
 
 
 def is_square(n: int) -> bool:
@@ -268,16 +268,43 @@ def as_integer_combination(x: QuadExt, r: int) -> Optional[tuple[int, int]]:
     return (t // 2, n)
 
 
-def pell_fundamental_unit(D: int, bound: int = 10**6) -> QuadExt:
-    """Smallest solution (x + y*sqrt(D))/2 > 1 of x^2 - D*y^2 = +-4 (minimal y > 0)."""
+def pell_fundamental_unit(D: int) -> QuadExt:
+    """Smallest solution (x + y*sqrt(D))/2 > 1 of x^2 - D*y^2 = +-4 (minimal y > 0).
+
+    These are the units of the order of discriminant Delta, where Delta = D
+    for D = 0, 1 (mod 4) and Delta = 4*D otherwise.  The continued fraction
+    of theta = (sqrt(Delta) - delta)/2, delta = Delta mod 2, is expanded
+    through its complete quotients (P + sqrt(Delta))/Q; the convergent
+    p/q before a quotient with Q = 2 gives the unit p - q*conj(theta) of
+    norm +-1, and every unit u > 1 arises so: with q = y, |theta - p/q| =
+    1/(q*u) < 1/(2*q^2), so p/q is a convergent by Legendre's theorem (the
+    one exception, (1 + sqrt(5))/2, is the convergent 0/1).  Convergent
+    denominators grow, so the first hit has the least y, and it comes
+    within one period (Lenstra, "Solving the Pell equation", Notices AMS
+    49, 2002).
+    """
     _check_field(D)
-    for y in range(1, bound + 1):
-        t = D * y * y
-        if is_square(t - 4):
-            return QuadExt(isqrt(t - 4), y, 2, D)
-        if is_square(t + 4):
-            return QuadExt(isqrt(t + 4), y, 2, D)
-    raise SearchBoundExceeded(f"no Pell solution for D={D} with y <= {bound}")
+    delta = D if D % 4 in (0, 1) else 4 * D
+    d = delta % 2
+    root = isqrt(delta)
+    P, Q = -d, 2
+    p, p_prev, q, q_prev = 1, 0, 0, 1  # convergents p_(n-1), p_(n-2), q_(n-1), q_(n-2)
+    while True:
+        # floor((P + sqrt(Delta))/Q): every complete quotient after theta is
+        # reduced, so Q stays positive
+        a = (P + root) // Q
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+        P = a * Q - P
+        Q = (delta - P * P) // Q
+        if Q == 2:
+            break
+    x, y = 2 * p + d * q, q
+    if x * x - delta * y * y not in (4, -4):
+        raise RuntimeError(f"continued fraction of sqrt({delta}) gave a convergent of norm other than +-1")
+    if delta != D:  # sqrt(Delta) = 2*sqrt(D)
+        y *= 2
+    return QuadExt(x, y, 2, D)
 
 
 def squarefree_split(D: int, bound: int = 10**6) -> tuple[int, int]:
@@ -294,17 +321,45 @@ def squarefree_split(D: int, bound: int = 10**6) -> tuple[int, int]:
 
 
 def field_fundamental_unit(D: int, bound: int = 10**6) -> QuadExt:
-    """Fundamental unit of the maximal order of Q(sqrt(D)), expressed over sqrt(D)."""
+    """Fundamental unit of the maximal order of Q(sqrt(D)), expressed over sqrt(D).
+
+    Needs the square part of D, found by trial division up to ``bound``."""
     _check_field(D)
     f, d0 = squarefree_split(D, bound)
     delta0 = d0 if d0 % 4 == 1 else 4 * d0
     c = 1 if d0 % 4 == 1 else 2
-    u = pell_fundamental_unit(delta0, bound)
+    u = pell_fundamental_unit(delta0)
     # u = (x + y*sqrt(delta0))/2, sqrt(delta0) = c*sqrt(d0) = (c/f)*sqrt(D)
     x, y = u.p, u.q  # canonical s == 2 or s == 1
     if u.s == 1:
         x, y = 2 * x, 2 * y
     return QuadExt(x * f, y * c, 2 * f, D)
+
+
+def unit_exponent(eps: QuadExt, target: QuadExt) -> int:
+    """The k >= 1 with eps^k = target, for units eps, target > 1.
+
+    Every unit > 1 of a real quadratic order is at least (1 + sqrt(5))/2,
+    so this takes at most log(target)/log(phi) multiplications.
+    """
+    power, k = eps, 1
+    while power < target:
+        power, k = power * eps, k + 1
+    if power != target:
+        raise RuntimeError(f"{target} is not a power of the unit {eps}")
+    return k
+
+
+def order_generator(r: int, sigma: int) -> QuadExt:
+    """Generator (mod +-1) of the units of Z + lam*Z for lam = (r + sqrt(D))/2.
+
+    A unit (x + y*sqrt(D))/2 > 1 of least y > 0 is fundamental.  lam has
+    y = 1, and the only other y = 1 unit, of x^2 = D - 4 = r^2 - 8*sigma,
+    is smaller only when sigma = +1 and r^2 - 8 is a square: r = 3, where
+    the generator is (1 + sqrt(5))/2 with square lam.
+    """
+    lam = dominant_eigenvalue(r, sigma)
+    return QuadExt(1, 1, 2, 5) if (r, sigma) == (3, 1) else lam
 
 
 @dataclass(frozen=True)
@@ -316,15 +371,9 @@ class UnitGroupDesc:
     exponent_index: int
 
 
-def unit_group_of_order(r: int, sigma: int, max_index: int = 6) -> UnitGroupDesc:
-    """Generator (mod +-1) of the units of Z + lam*Z for lam = (r + sqrt(D))/2."""
-    lam = dominant_eigenvalue(r, sigma)
-    eps = field_fundamental_unit(lam.D)
-    power = eps
-    for j in range(1, max_index + 1):
-        if as_integer_combination(power, r) is not None:
-            return UnitGroupDesc(fundamental_unit=eps, order_generator=power, exponent_index=j)
-        power = power * eps
-    raise SearchBoundExceeded(
-        f"no power of the fundamental unit up to {max_index} lies in Z+lam*Z for (r={r}, sigma={sigma})"
-    )
+def unit_group_of_order(r: int, sigma: int) -> UnitGroupDesc:
+    """Generator (mod +-1) of the units of Z + lam*Z, with its exponent over
+    the fundamental unit of the maximal order (which needs D's square part)."""
+    gen = order_generator(r, sigma)
+    eps = field_fundamental_unit(gen.D)
+    return UnitGroupDesc(fundamental_unit=eps, order_generator=gen, exponent_index=unit_exponent(eps, gen))

@@ -8,6 +8,7 @@ import pytest
 from torcode import cli
 from torcode.coding import enumerate_mac, semiconjugacy_kernel
 from torcode.glz import Mat2
+from torcode.qfield import dominant_eigenvalue
 from torcode.schemas import FORMS_SCHEMA, POINT_SCHEMA, REPORT_SCHEMA, SPEC_LIST_SCHEMA
 
 
@@ -63,6 +64,23 @@ class TestAnalyze:
         assert run(["analyze", "--matrix", "2,0,0,1"])[0] == 1  # not unimodular
         assert run(["analyze", "--matrix", "1,2,3"])[0] == 1  # malformed
 
+    @pytest.mark.parametrize("r,sigma", [(29, -1), (47, 1), (76, -1), (123, 1), (199, -1), (322, 1)])
+    def test_lucas_trace_companions(self, r, sigma):
+        # lam = phi^k with k >= 7: the order's unit generator is lam itself
+        data = run_json(["analyze", f"--matrix={r},1,{-sigma},0"])
+        jsonschema.validate(data, REPORT_SCHEMA)
+        assert data["primitive"] is True
+        assert data["bac"]["generator"] == dominant_eigenvalue(r, sigma).to_dict()
+        assert data["bac"]["exceptional"] is False
+
+    def test_trace_1e7(self):
+        data = run_json(["analyze", "--matrix", "10000000,1,1,0"])
+        assert data["D"] == 10**14 + 4
+        assert data["primitive"] is True and data["bac"]["admits"] is True
+
+    def test_rejects_bound_outside_forms(self):
+        assert run(["analyze", "--matrix", "1,1,1,0", "--bound", "5"])[0] == 1
+
     def test_numbers_match_library(self):
         data = run_json(["analyze", "--matrix", "80,9,9,1"])
         m = Mat2(80, 9, 9, 1)
@@ -94,6 +112,12 @@ class TestBacMac:
         assert data["exceptional"] is False
         assert len(data["specs"]) == 2
         assert data["specs"][0]["xi"] == {"p": 0, "q": 1, "s": 5, "D": 5, "approx": "0.447213595499958"}
+
+    def test_mac_minimum_3000(self):
+        # [[m^2 - 1, m], [m, 1]] has integral minimum m
+        data = run_json(["mac", "--matrix=8999999,3000,3000,1"])
+        assert data["m"] == 3000
+        assert [len(k) for k in data["kernels"]] == [3000] * len(data["specs"])
 
     def test_mac_counterexample3(self):
         data = run_json(["mac", "--matrix", "27,11,5,2"])

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -195,6 +199,52 @@ class TestIsPrimitive:
                 k, got_n = root
                 assert k ** got_n == power
                 assert got_n % n == 0 or n % got_n == 0 or k ** got_n == power
+
+
+    def test_companions_to_trace_1e9(self):
+        rng = random.Random(28)
+        for _ in range(60):
+            c = companion(int(10 ** rng.uniform(1, 9)), rng.choice((-1, 1)))
+            b = random_unimodular(rng)
+            assert is_primitive(c) == (True, None)
+            assert is_primitive(b * c * b.inverse_unimodular()) == (True, None)
+
+    def test_conjugated_powers_to_trace_1e9(self):
+        rng = random.Random(29)
+        for n in range(2, 7):
+            for _ in range(12):
+                sigma = rng.choice((-1, 1))
+                # trace of K^n is about t^n; keep it at most 10^9
+                t = int(10 ** rng.uniform(0.5 if sigma > 0 else 0, 9 / n))
+                b = random_unimodular(rng)
+                m = b * companion(t, sigma) ** n * b.inverse_unimodular()
+                assert 0 < m.trace <= 10**9
+                primitive, root = is_primitive(m)
+                assert not primitive
+                k, e = root
+                assert k ** e == m
+                assert e % n == 0
+                assert e == (2 * n if (t, sigma) == (3, 1) else n)
+
+    def test_checks_hold_under_optimize(self):
+        # the cross-checks are explicit raises, not asserts stripped by -O
+        code = textwrap.dedent(
+            """
+            from torcode.glz import Mat2, is_primitive
+            m = Mat2(3, 2, 2, 1)
+            print(__debug__, is_primitive(m))
+            Mat2.__pow__ = lambda self, n: Mat2.identity()
+            try:
+                is_primitive(m)
+            except RuntimeError:
+                print("refused")
+            """
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["False (False, (Mat2(a=1, b=1, c=1, d=0), 3))", "refused"]
 
 
 class TestOrbitSpan:

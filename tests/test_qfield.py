@@ -1,5 +1,6 @@
 import decimal
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -150,6 +151,21 @@ class TestPell:
         x, y = brute_pell_minimal(D)
         assert u == QuadExt(x, y, 2, D)
 
+    def test_against_sympy_diop_dn(self):
+        diophantine = pytest.importorskip("sympy.solvers.diophantine.diophantine")
+        for D in range(2, 1500):
+            if isqrt(D) ** 2 == D:
+                continue
+            sols = [(abs(x), abs(y)) for n in (4, -4) for x, y in diophantine.diop_DN(D, n) if y]
+            x, y = min(sols, key=lambda s: (s[1], s[0]))
+            assert pell_fundamental_unit(D) == QuadExt(x, y, 2, D), D
+
+    def test_d151_long_period(self):
+        # 1728148040 + 140634693*sqrt(151), far past any linear search in y
+        u = pell_fundamental_unit(151)
+        assert (u.p, u.q, u.s) == (1728148040, 140634693, 1)
+        assert u.norm() == 1
+
     def test_squarefree_split(self):
         assert squarefree_split(20) == (2, 5)
         assert squarefree_split(32) == (4, 2)
@@ -178,6 +194,26 @@ class TestUnitGroup:
         assert as_integer_combination(desc.fundamental_unit, 4) is None
         assert as_integer_combination(desc.fundamental_unit ** 2, 4) is None
         assert as_integer_combination(desc.fundamental_unit ** 3, 4) is not None
+
+    def test_lucas_trace_index_seven(self):
+        # lam = (29 + sqrt(845))/2 = phi^7, with 845 = 13^2 * 5
+        desc = unit_group_of_order(29, -1)
+        assert desc.exponent_index == 7
+        assert desc.order_generator == dominant_eigenvalue(29, -1)
+        assert desc.fundamental_unit == QuadExt(13, 1, 26, 845)
+        assert desc.fundamental_unit ** 7 == desc.order_generator
+
+    def test_closed_form_is_least_order_power(self):
+        # the generator is the least power of the field unit that lies in Z + lam*Z
+        for sigma in (-1, 1):
+            for r in range(1 if sigma < 0 else 3, 400):
+                desc = unit_group_of_order(r, sigma)
+                power = desc.fundamental_unit
+                for _ in range(1, desc.exponent_index):
+                    assert as_integer_combination(power, r) is None, (r, sigma)
+                    power = power * desc.fundamental_unit
+                assert power == desc.order_generator
+                assert as_integer_combination(power, r) is not None
 
     @pytest.mark.parametrize("r,sigma", [(1, -1), (2, -1), (3, -1), (3, 1), (4, 1), (4, -1), (5, 1), (6, 1)])
     def test_generator_powers_stay_in_order(self, r, sigma):
