@@ -373,27 +373,33 @@ def _right_tail_value(w: SymWord, lam: QuadExt) -> QuadExt:
     return lam ** (-j) * (lam - 1)
 
 
+def _core_value(core: Sequence[int], offset: int, r: int, sigma: int, lam: QuadExt) -> QuadExt:
+    """sum_i core[i] * lam^{-(offset+i)}, by Horner on integer pairs a + b*lam.
+
+    Each step multiplies by lam through lam^2 = r*lam - sigma and adds the
+    next digit, so no field element is built until the final scaling.
+    """
+    if not core:
+        return QuadExt.zero(lam.D)
+    a = b = 0
+    for d in core:
+        a, b = d - sigma * b, a + r * b
+    return QuadExt._make(2 * a + r * b, b, 2, lam.D) * lam ** (1 - offset - len(core))
+
+
 def value(w: SymWord) -> QuadExt:
     """Exact series value sum_n digit_n * lam^{-n}; needs a zero left tail."""
     if w.left_tail != "zero":
         raise ValueError("left tail diverges as a series; use eff_value")
     lam = _lam(w)
-    total = QuadExt.zero(lam.D)
-    for i, d in enumerate(w.core):
-        if d:
-            total = total + d * lam ** (-(w.offset + i))
-    return total + _right_tail_value(w, lam)
+    return _core_value(w.core, w.offset, w.r, w.sigma, lam) + _right_tail_value(w, lam)
 
 
 def eff_value(w: SymWord) -> QuadExt:
     """Effective value: the coding image of w equals eff_value(w) times the
     homoclinic point, exactly.  Defined for all tail combinations."""
     lam = _lam(w)
-    total = QuadExt.zero(lam.D)
-    for i, d in enumerate(w.core):
-        if d:
-            total = total + d * lam ** (-(w.offset + i))
-    total = total + _right_tail_value(w, lam)
+    total = _core_value(w.core, w.offset, w.r, w.sigma, lam) + _right_tail_value(w, lam)
     if w.left_tail == "alt_r0":
         if w.kind != "markov":
             raise ValueError("effective value undefined for reversed alternating tails")
@@ -459,13 +465,9 @@ def greedy_word(x: QuadExt, r: int, sigma: int, max_digits: int = 10_000) -> Sym
 def normalize(digits: Sequence[int], offset: int, r: int, sigma: int) -> SymWord:
     """Value-preserving rewrite of a nonnegative digit sequence into the
     canonical admissible word (exact value, then greedy re-expansion)."""
-    lam = dominant_eigenvalue(r, sigma)
-    total = QuadExt.zero(lam.D)
-    for i, d in enumerate(digits):
-        if d < 0:
-            raise ValueError("digits must be nonnegative")
-        if d:
-            total = total + d * lam ** (-(offset + i))
+    if any(d < 0 for d in digits):
+        raise ValueError("digits must be nonnegative")
+    total = _core_value(digits, offset, r, sigma, dominant_eigenvalue(r, sigma))
     return greedy_word(total, r, sigma)
 
 
@@ -574,10 +576,6 @@ def reverse_map(w: SymWord) -> SymWord:
 # -- serialization ---------------------------------------------------------------
 
 
-def word_to_text(w: SymWord) -> str:
-    return w.to_text()
-
-
 def word_from_text(text: str, r: int, sigma: int) -> SymWord:
     """Parse "lt|d d d|rt @offset" into a word of the compactum of (r, sigma)."""
     body, _, off = text.strip().rpartition("@")
@@ -589,14 +587,3 @@ def word_from_text(text: str, r: int, sigma: int) -> SymWord:
     lt, digits_text, rt = parts[0].strip(), parts[1].strip(), parts[2].strip()
     core = [int(t) for t in digits_text.split()] if digits_text else []
     return make_word(compactum_for(r, sigma).kind, r, int(off), core, lt, rt)  # type: ignore[arg-type]
-
-
-def word_from_dict(data: dict) -> SymWord:
-    return make_word(
-        data["kind"],
-        data["r"],
-        data["offset"],
-        data["core"],
-        data.get("left_tail", "zero"),
-        data.get("right_tail", "zero"),
-    )

@@ -13,10 +13,6 @@ from typing import Optional
 from .intmat import Mat2
 from .qfield import QuadExt, dominant_eigenvalue, is_square
 
-# A change of variables is an integer 2x2 matrix T acting by
-# (f o T)(x, y) = f(T11*x + T12*y, T21*x + T22*y).
-FormTransform = Mat2
-
 
 class UnsupportedRangeError(ValueError):
     """The target integer is too large for the exact cycle method."""
@@ -53,7 +49,7 @@ class BinForm:
         return BinForm(k * self.a, k * self.b, k * self.c)
 
     def apply(self, t: Mat2) -> "BinForm":
-        """The composed form f o t (exact change of variables)."""
+        """The composed form f o t: (f o t)(x, y) = f(t11*x + t12*y, t21*x + t22*y)."""
         a = self(t.a, t.c)
         c = self(t.b, t.d)
         b = self(t.a + t.b, t.c + t.d) - a - c

@@ -130,7 +130,8 @@ def build_report(matrix: Mat2) -> dict:
     r, sigma, D = glz.require_hyperbolic(norm)
     form = associated_form(norm)
     m_min = integral_minimum(form)
-    primitive, rootinfo = glz.is_primitive(norm)
+    primitivity = glz.is_primitive(norm)
+    primitive, rootinfo = primitivity
     root = None
     if not primitive:
         root = {"matrix": rootinfo[0].to_lists(), "exponent": rootinfo[1]}
@@ -148,7 +149,7 @@ def build_report(matrix: Mat2) -> dict:
         }
         if exceptional:
             warnings.append("exceptional case: the coding family is generated by a square root of the eigenvalue")
-    m_val, specs = coding.enumerate_mac(norm)
+    m_val, specs = coding.enumerate_mac(norm, primitivity)
     kernels = [coding.semiconjugacy_kernel(norm, s.point.p, s.point.q).as_strings() for s in specs]
     return {
         "schema": SCHEMA_VERSION,
@@ -179,8 +180,8 @@ def cmd_analyze(args, out) -> int:
 def cmd_bac(args, out) -> int:
     norm, _, warnings = _normalized(_parse_matrix(args.matrix))
     k_range = _parse_k_range(args.k_range)
-    specs = coding.enumerate_bac(norm, k_range)
     info = coding.bac_family_info(norm)
+    specs = coding.enumerate_bac(norm, k_range, info) if info else []
     data = {
         "schema": SCHEMA_VERSION,
         "generator": info[1].to_dict() if info else None,

@@ -92,9 +92,8 @@ def homoclinic_point(m: Mat2, p: int, q: int) -> HomoclinicPoint:
     n, k = -sigma * nv, -sigma * kv
     xi = (QuadExt.from_fraction(-q, D) + n * lam) / sq
     eta = (QuadExt.from_fraction(p, D) + k * lam) / sq
-    # the point lies on the unstable eigenline
-    assert m.a * xi + m.b * eta == lam * xi
-    assert m.c * xi + m.d * eta == lam * eta
+    if m.a * xi + m.b * eta != lam * xi or m.c * xi + m.d * eta != lam * eta:
+        raise RuntimeError(f"homoclinic point of {m} at ({p}, {q}) is off the unstable eigenline")
     return HomoclinicPoint(p=p, q=q, n=n, k=k, xi=xi, eta=eta)
 
 
@@ -136,12 +135,9 @@ def make_spec(m: Mat2, p: int, q: int) -> CodingSpec:
     k = abs(f(p, q))
     _, _, D = require_hyperbolic(m)
     area = QuadExt.sqrt_d(D) * abs(point.xi.conj() * point.eta - point.xi * point.eta.conj())
-    assert area == QuadExt.from_fraction(k, D), (m, p, q)
+    if area != k:
+        raise RuntimeError(f"area {area} of the coding of {m} at ({p}, {q}) differs from |f(p, q)| = {k}")
     return CodingSpec(matrix=m, point=point, multiplicity=k)
-
-
-def multiplicity(spec: CodingSpec) -> int:
-    return spec.multiplicity
 
 
 # -- the coding map -----------------------------------------------------------
@@ -188,15 +184,17 @@ def bac_family_info(m: Mat2):
     return b, gen, gen != dominant_eigenvalue(r, sigma)
 
 
-def enumerate_bac(m: Mat2, k_range: tuple[int, int] = (-3, 3)) -> list[CodingSpec]:
+def enumerate_bac(m: Mat2, k_range: tuple[int, int] = (-3, 3), info=None) -> list[CodingSpec]:
     """All bijective codings with parameter in the given power window.
 
     Empty exactly when the associated form represents neither +1 nor -1.
     The family is +-(generator^k) times a base point; the generator is the
     unit-group generator of the order (a square root of the eigenvalue in
-    the exceptional discriminant-5 trace-3 case).
+    the exceptional discriminant-5 trace-3 case).  ``info`` is m's
+    :func:`bac_family_info` when the caller already has it.
     """
-    info = bac_family_info(m)
+    if info is None:
+        info = bac_family_info(m)
     if info is None:
         return []
     b, gen, _ = info
@@ -220,18 +218,19 @@ def enumerate_bac(m: Mat2, k_range: tuple[int, int] = (-3, 3)) -> list[CodingSpe
     return specs
 
 
-def enumerate_mac(m: Mat2) -> tuple[int, list[CodingSpec]]:
+def enumerate_mac(m: Mat2, primitivity=None) -> tuple[int, list[CodingSpec]]:
     """Minimal codings: (m, base specs), one spec per base-solution orbit.
 
     m is the integral minimum of the associated form; each returned spec has
     exactly m preimages.  Non-primitive matrices are walked with a root.
+    ``primitivity`` is m's :func:`is_primitive` when the caller already has it.
     """
     r, sigma, _ = require_hyperbolic(m)
     if r < 0:
         raise ValueError("normalize the trace first")
     f = associated_form(m)
     mmin = integral_minimum(f)
-    primitive, root = is_primitive(m)
+    primitive, root = primitivity or is_primitive(m)
     step = m if primitive else root[0]
     bases = base_solutions_pm(f, mmin, step=step)
     specs = [make_spec(m, x, y) for (x, y) in bases]
@@ -382,9 +381,10 @@ def _ceil_q(x: QuadExt) -> int:
     return -((-x).floor())
 
 
-def _digit_window(z: QuadExt, lam: QuadExt, r: int) -> list[int]:
-    """Candidate digits e with -lam*(z - e) back in [-1, lam), ascending."""
-    lo_b = z - 1 / lam
+def _digit_window(z: QuadExt, inv: QuadExt, r: int) -> list[int]:
+    """Candidate digits e with -lam*(z - e) back in [-1, lam), ascending;
+    inv is 1/lam."""
+    lo_b = z - inv
     lo = lo_b.floor() if lo_b.frac().is_zero else lo_b.floor() + 1
     hi_b = z + 1
     hi = hi_b.floor()
@@ -400,11 +400,12 @@ def _extract_past_minus(z: QuadExt, r: int, lam: QuadExt, window: int, future_fi
     digits: list[int] = []
     stack: list[tuple[QuadExt, list[int]]] = []
     cur = z
+    inv = lam.inverse()
     guard = 0
     while len(digits) <= window:
         if cur.is_zero:
             break  # all remaining digits zero
-        cands = _digit_window(cur, lam, r)
+        cands = _digit_window(cur, inv, r)
         right = digits[-1] if digits else future_first
         cands = [e for e in cands if not (e == r and right >= 1)]
         while not cands:
@@ -428,13 +429,15 @@ def _extract_past_plus(z: QuadExt, r: int, lam: QuadExt, window: int) -> list[in
         if cur.is_zero:
             break
         e = cur.floor()
-        assert 0 <= e <= r - 1
+        if not 0 <= e <= r - 1:
+            raise RuntimeError(f"past digit {e} outside 0..{r - 1}")
         # a forbidden factor would force the scaled remainder past lam
         if e == r - 1:
             i = len(digits) - 1
             while i >= 0 and digits[i] == r - 2:
                 i -= 1
-            assert not (i >= 0 and digits[i] == r - 1), "forbidden factor in past extraction"
+            if i >= 0 and digits[i] == r - 1:
+                raise RuntimeError("forbidden factor in past extraction")
         digits.append(e)
         cur = lam * (cur - e)
     return digits
@@ -449,7 +452,8 @@ def _extract_future(z: QuadExt, digit_max: int, lam: QuadExt, window: int) -> li
             break
         scaled = lam * cur
         d = scaled.floor()
-        assert 0 <= d <= digit_max
+        if not 0 <= d <= digit_max:
+            raise RuntimeError(f"future digit {d} outside 0..{digit_max}")
         digits.append(d)
         cur = scaled - d
     return digits
@@ -459,9 +463,12 @@ def decode(spec: CodingSpec, target: TorusPoint, window: int = 32) -> SymWord:
     """Invert the coding map at an exact torus point (bijective codings only).
 
     Returns an admissible word supported on [-window, window]; when the full
-    expansion terminates inside the window the word is exact, otherwise the
+    expansion terminates inside the window the word is exact.  Otherwise the
     evaluation of the truncation differs from the target by less than
-    lam^(2-window) in each coordinate.
+    lam^(2-window) in each companion coordinate, B*(x, y) for the conjugator
+    B of :func:`conjugator_to_companion`.  In the matrix's own coordinates
+    the bound on x (on y) is lam^(2-window) times the first (second) row sum
+    of |B^-1|.
     """
     if spec.multiplicity != 1:
         raise ValueError("decoding needs a bijective coding")

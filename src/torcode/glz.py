@@ -10,8 +10,6 @@ from .binforms import associated_form, base_solutions_pm, improperly_equivalent_
 from .intmat import Mat2, lattice_span_index, smith_normal_form
 from .qfield import QuadExt, dominant_eigenvalue, hyperbolic_params_ok, pell_fundamental_unit, unit_exponent
 
-UniMat = Mat2
-
 
 def require_unimodular(m: Mat2) -> None:
     if not m.is_unimodular():

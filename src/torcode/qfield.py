@@ -39,6 +39,16 @@ def _floor_q_sqrt(q: int, D: int) -> int:
     return root if q > 0 else -root - 1
 
 
+def _lowest_terms(p: int, q: int, s: int) -> tuple[int, int, int]:
+    # s > 0 and gcd(p, q, s) = 1
+    if s < 0:
+        p, q, s = -p, -q, -s
+    g = gcd(p, q, s)
+    if g > 1:
+        p, q, s = p // g, q // g, s // g
+    return p, q, s
+
+
 @dataclass(frozen=True)
 class QuadExt:
     """Element (p + q*sqrt(D))/s of the real quadratic field Q(sqrt(D))."""
@@ -52,15 +62,23 @@ class QuadExt:
         _check_field(self.D)
         if self.s == 0:
             raise ValueError("denominator s must be nonzero")
-        p, q, s = self.p, self.q, self.s
-        if s < 0:
-            p, q, s = -p, -q, -s
-        g = gcd(gcd(abs(p), abs(q)), s)
-        if g > 1:
-            p, q, s = p // g, q // g, s // g
+        p, q, s = _lowest_terms(self.p, self.q, self.s)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "s", s)
+
+    @classmethod
+    def _make(cls, p: int, q: int, s: int, D: int) -> "QuadExt":
+        """Trusted constructor for arithmetic results: D was validated when
+        the operands were built and s != 0, so only the sign and the common
+        factor are normalised."""
+        p, q, s = _lowest_terms(p, q, s)
+        x = object.__new__(cls)
+        object.__setattr__(x, "p", p)
+        object.__setattr__(x, "q", q)
+        object.__setattr__(x, "s", s)
+        object.__setattr__(x, "D", D)
+        return x
 
     # -- constructors ------------------------------------------------------
 
@@ -89,29 +107,37 @@ class QuadExt:
                 raise FieldMismatchError(f"sqrt({self.D}) vs sqrt({other.D})")
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadExt.from_fraction(other, self.D)
+            fr = Fraction(other)
+            return QuadExt._make(fr.numerator, 0, fr.denominator, self.D)
         raise TypeError(f"cannot combine QuadExt with {type(other).__name__}")
 
     def __add__(self, other) -> "QuadExt":
+        if isinstance(other, int):
+            return QuadExt._make(self.p + other * self.s, self.q, self.s, self.D)
         o = self._coerce(other)
-        return QuadExt(self.p * o.s + o.p * self.s, self.q * o.s + o.q * self.s, self.s * o.s, self.D)
+        return QuadExt._make(self.p * o.s + o.p * self.s, self.q * o.s + o.q * self.s, self.s * o.s, self.D)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "QuadExt":
-        return self + (-self._coerce(other))
+        if isinstance(other, int):
+            return QuadExt._make(self.p - other * self.s, self.q, self.s, self.D)
+        o = self._coerce(other)
+        return QuadExt._make(self.p * o.s - o.p * self.s, self.q * o.s - o.q * self.s, self.s * o.s, self.D)
 
     def __rsub__(self, other) -> "QuadExt":
-        return self._coerce(other) + (-self)
+        return -(self - other)
 
     def __neg__(self) -> "QuadExt":
-        return QuadExt(-self.p, -self.q, self.s, self.D)
+        return QuadExt._make(-self.p, -self.q, self.s, self.D)
 
     def __mul__(self, other) -> "QuadExt":
+        if isinstance(other, int):
+            return QuadExt._make(self.p * other, self.q * other, self.s, self.D)
         o = self._coerce(other)
         p = self.p * o.p + self.q * o.q * self.D
         q = self.p * o.q + self.q * o.p
-        return QuadExt(p, q, self.s * o.s, self.D)
+        return QuadExt._make(p, q, self.s * o.s, self.D)
 
     __rmul__ = __mul__
 
@@ -120,7 +146,7 @@ class QuadExt:
             raise ZeroDivisionError("division by zero QuadExt")
         # 1/x = s * (p - q*sqrt(D)) / (p^2 - q^2 D)
         denom = self.p * self.p - self.q * self.q * self.D
-        return QuadExt(self.s * self.p, -self.s * self.q, denom, self.D)
+        return QuadExt._make(self.s * self.p, -self.s * self.q, denom, self.D)
 
     def __truediv__(self, other) -> "QuadExt":
         return self * self._coerce(other).inverse()
@@ -131,7 +157,7 @@ class QuadExt:
     def __pow__(self, n: int) -> "QuadExt":
         base = self if n >= 0 else self.inverse()
         n = abs(n)
-        out = QuadExt.one(self.D)
+        out = QuadExt._make(1, 0, 1, self.D)
         while n:
             if n & 1:
                 out = out * base
@@ -153,7 +179,7 @@ class QuadExt:
 
     def conj(self) -> "QuadExt":
         """Galois conjugate: sqrt(D) -> -sqrt(D)."""
-        return QuadExt(self.p, -self.q, self.s, self.D)
+        return QuadExt._make(self.p, -self.q, self.s, self.D)
 
     def norm(self) -> Fraction:
         return Fraction(self.p * self.p - self.q * self.q * self.D, self.s * self.s)

@@ -6,6 +6,7 @@ import random
 
 from torcode.intmat import Mat2
 from torcode.glz import companion
+from torcode.qfield import QuadExt, dominant_eigenvalue
 
 HYPERBOLIC_PANEL = [(1, -1), (2, -1), (3, -1), (3, 1), (4, 1), (5, -1), (5, 1), (6, -1)]
 
@@ -56,3 +57,46 @@ def brute_pell_minimal(D: int, bound: int = 10**5):
                 if x * x == rhs:
                     return x, y
     raise AssertionError(f"no Pell solution for {D}")
+
+
+# -- word values by one power of lam per digit ---------------------------------
+# A slow differential oracle for value, eff_value and normalize, which
+# evaluate by Horner on integer pairs in Z[lam].
+
+
+def power_sum(digits, offset: int, lam):
+    """sum_i digits[i] * lam^(-(offset + i)), one fresh power per nonzero digit."""
+    total = QuadExt.zero(lam.D)
+    for i, d in enumerate(digits):
+        if d:
+            total = total + d * lam ** (-(offset + i))
+    return total
+
+
+def power_sum_value(w):
+    """Series value of a word with a zero left tail; tails summed as geometric series."""
+    lam = dominant_eigenvalue(w.r, w.sigma)
+    j = w.offset + len(w.core)
+    total = power_sum(w.core, w.offset, lam)
+    if w.right_tail == "alt_r0":
+        if w.kind != "markov":
+            raise ValueError("no series value")
+        # r*lam^-j * (1 + lam^-2 + ...) = r*lam^(2-j) / (lam^2 - 1)
+        total = total + w.r * lam ** (2 - j) / (lam * lam - 1)
+    elif w.right_tail == "const_r2":
+        # (r-2)*lam^-j * (1 + lam^-1 + ...) = (r-2)*lam^(1-j) / (lam - 1)
+        total = total + (w.r - 2) * lam ** (1 - j) / (lam - 1)
+    return total
+
+
+def power_sum_eff_value(w):
+    """Effective value: the series value plus the left tail's effective term."""
+    lam = dominant_eigenvalue(w.r, w.sigma)
+    total = power_sum_value(w)
+    if w.left_tail == "alt_r0":
+        if w.kind != "markov":
+            raise ValueError("no effective value")
+        total = total - lam ** (1 - w.offset)
+    elif w.left_tail == "const_r2":
+        total = total - (lam - (w.r - 1)) * lam ** (1 - w.offset)
+    return total

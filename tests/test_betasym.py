@@ -30,6 +30,8 @@ from torcode.betasym import (
 )
 from torcode.qfield import QuadExt, dominant_eigenvalue
 
+from helpers import power_sum, power_sum_eff_value, power_sum_value
+
 
 def lam_of(r, sigma):
     return dominant_eigenvalue(r, sigma)
@@ -139,6 +141,87 @@ class TestValue:
         assert eff_value(w) == -1
 
 
+# (kind, r) pairs with r up to 50 on both signs of sigma
+_VALUE_PANEL = [("markov", r) for r in (1, 2, 7, 50)] + [("markov_reversed", r) for r in (1, 3, 50)] + [
+    ("sofic", r) for r in (3, 4, 11, 50)
+]
+
+
+def _tails(kind):
+    return ("zero", "const_r2") if kind == "sofic" else ("zero", "alt_r0")
+
+
+def _random_core(rng, digit_max, length, density=1.0):
+    return tuple(rng.randrange(1, digit_max + 1) if rng.random() < density else 0 for _ in range(length))
+
+
+class TestValueAgainstPowerSum:
+    """value, eff_value and normalize against one power of lam per digit."""
+
+    def _check(self, w):
+        if w.left_tail == "zero":
+            try:
+                expected = power_sum_value(w)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    value(w)
+            else:
+                assert value(w) == expected
+        else:
+            with pytest.raises(ValueError):
+                value(w)
+        try:
+            expected = power_sum_eff_value(w)
+        except ValueError:
+            with pytest.raises(ValueError):
+                eff_value(w)
+        else:
+            assert eff_value(w) == expected
+
+    @pytest.mark.parametrize("kind,r", _VALUE_PANEL)
+    def test_every_tail_pair(self, kind, r):
+        rng = random.Random(r * 7 + len(kind))
+        digit_max = compactum(kind, r).digit_max
+        for left in _tails(kind):
+            for right in _tails(kind):
+                for length in (0, 1, 2, 5, 33):
+                    for offset in (-40, -3, 0, 1, 17):
+                        self._check(SymWord(kind, r, offset, _random_core(rng, digit_max, length, 0.7), left, right))
+
+    @pytest.mark.parametrize("kind,r", [("markov", 2), ("sofic", 3), ("markov_reversed", 1)])
+    def test_dense_4096_digit_cores(self, kind, r):
+        rng = random.Random(4096 + r)
+        digit_max = compactum(kind, r).digit_max
+        for offset in (-2100, 5):
+            core = _random_core(rng, digit_max, 4096, 0.6)
+            self._check(SymWord(kind, r, offset, core, "zero", "zero"))
+
+    @pytest.mark.parametrize("kind,r", [("markov", 50), ("sofic", 50), ("markov_reversed", 50)])
+    def test_sparse_4096_digit_cores(self, kind, r):
+        # a handful of nonzero digits keeps the oracle fast at large r
+        rng = random.Random(50 + len(kind))
+        digit_max = compactum(kind, r).digit_max
+        for offset in (-4000, -7, 300):
+            for left in _tails(kind):
+                for right in _tails(kind):
+                    core = list(_random_core(rng, digit_max, 4096, 0.004))
+                    core[0] = core[-1] = digit_max
+                    self._check(SymWord(kind, r, offset, tuple(core), left, right))
+
+    def test_normalize(self):
+        rng = random.Random(33)
+        for r, sigma in [(1, -1), (2, -1), (9, -1), (50, -1), (3, 1), (4, 1), (17, 1), (50, 1)]:
+            lam = lam_of(r, sigma)
+            for length in (1, 3, 12, 60):
+                digits = [rng.randrange(0, 2 * r + 2) for _ in range(length)]
+                offset = rng.randrange(-30, 31)
+                expected = power_sum(digits, offset, lam)
+                w = normalize(digits, offset, r, sigma)
+                assert w == greedy_word(expected, r, sigma)
+                assert value(w) == expected
+        assert normalize([0] * 4096, -2000, 5, -1) == zero_word(5, -1)
+
+
 class TestNormalize:
     def test_carry_relation(self):
         # r at index n plus 1 at index n+1 normalizes to a single 1 at n-1
@@ -166,10 +249,7 @@ class TestNormalize:
             digits = [rng.randrange(0, 2 * r + 1) for _ in range(rng.randrange(1, 7))]
             offset = rng.randrange(-5, 6)
             w = normalize(digits, offset, r, sigma)
-            direct = QuadExt.zero(lam.D)
-            for i, d in enumerate(digits):
-                direct = direct + d * lam ** (-(offset + i))
-            assert value(w) == direct
+            assert value(w) == power_sum(digits, offset, lam)
             assert is_admissible(w)
 
     def test_rejects_negative(self):

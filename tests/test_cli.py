@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import jsonschema
 import pytest
 
-from torcode import cli
+from torcode import cli, coding, glz
 from torcode.coding import enumerate_mac, semiconjugacy_kernel
 from torcode.glz import Mat2
 from torcode.qfield import dominant_eigenvalue
@@ -124,6 +124,39 @@ class TestBacMac:
         jsonschema.validate(data, SPEC_LIST_SCHEMA)
         assert data["m"] == 5
         assert all(s["K"] == 5 for s in data["specs"])
+
+
+class TestInvariantsComputedOnce:
+    @staticmethod
+    def _count(monkeypatch, name, modules):
+        calls = []
+        real = getattr(modules[0], name)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        for mod in modules:
+            monkeypatch.setattr(mod, name, counted)
+        return calls
+
+    def test_one_conjugator_search_per_bac(self, monkeypatch):
+        calls = self._count(monkeypatch, "conjugator_to_companion", [coding, glz])
+        for matrix, n_specs in (("3,2,1,1", 6), ("13,8,8,5", 0)):
+            calls.clear()
+            data = run_json(["bac", "--matrix", matrix, "--k-range=-1:1"])
+            assert len(calls) == 1
+            assert len(data["specs"]) == n_specs
+
+    def test_one_primitivity_check_per_analyze(self, monkeypatch):
+        calls = self._count(monkeypatch, "is_primitive", [glz, coding])
+        conj = self._count(monkeypatch, "conjugator_to_companion", [coding, glz])
+        for matrix, primitive in (("3,2,1,1", True), ("2,1,1,1", False), ("13,8,8,5", False)):
+            calls.clear()
+            conj.clear()
+            data = run_json(["analyze", "--matrix", matrix])
+            assert data["primitive"] is primitive
+            assert len(calls) == 1 and len(conj) == 1
 
 
 class TestEncodeDecode:

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -25,7 +29,7 @@ from torcode.coding import (
     semiconjugacy_kernel,
     torus_norm,
 )
-from torcode.glz import Mat2, companion
+from torcode.glz import Mat2, companion, conjugator_to_companion
 from torcode.qfield import QuadExt, as_integer_combination, dominant_eigenvalue
 
 from helpers import random_hyperbolic, random_unimodular
@@ -281,6 +285,52 @@ class TestDecode:
                 assert torus_norm(img.x - t.x) <= bound
                 assert torus_norm(img.y - t.y) <= bound
 
+    @staticmethod
+    def _errors(spec, target, window):
+        """Signed error of the decoded word's image in the matrix's own
+        coordinates and in companion coordinates, plus the conjugator."""
+
+        def centered(x):
+            f = x.frac()
+            return f if f <= Fraction(1, 2) else f - 1
+
+        img = phi_eval(spec, decode(spec, target, window))
+        ex, ey = centered(img.x - target.x), centered(img.y - target.y)
+        b = conjugator_to_companion(spec.matrix)
+        return (ex, ey), (b.a * ex + b.b * ey, b.c * ex + b.d * ey), b
+
+    def test_window_bound_in_matrix_coordinates(self):
+        # the window bound holds in companion coordinates; here B^-1 has
+        # row sums 2 and 5, and y misses the plain bound by a factor 1.37
+        spec = make_spec(Mat2(32, 11, -61, -21), 19, 10)
+        target = TorusPoint.from_fractions(Fraction(12, 13), Fraction(1, 33), spec.lam.D)
+        (ex, ey), (cx, cy), b = self._errors(spec, target, 303)
+        b_inv = b.inverse_unimodular()
+        assert b_inv == Mat2(1, -1, -2, 3)
+        unit = spec.lam ** (2 - 303)
+        assert abs(cx) <= unit and abs(cy) <= unit
+        assert abs(ex) <= (abs(b_inv.a) + abs(b_inv.b)) * unit
+        assert abs(ey) <= (abs(b_inv.c) + abs(b_inv.d)) * unit
+        assert abs(ey) > unit
+
+    def test_window_bound_on_conjugates(self):
+        rng = random.Random(57)
+        checked = 0
+        while checked < 12:
+            specs = enumerate_bac(random_hyperbolic(rng), (0, 0))
+            if not specs:
+                continue
+            spec = specs[0]
+            window = rng.randrange(8, 40)
+            target = TorusPoint.from_fractions(Fraction(rng.randrange(97), 97), Fraction(rng.randrange(89), 89), spec.lam.D)
+            (ex, ey), (cx, cy), b = self._errors(spec, target, window)
+            b_inv = b.inverse_unimodular()
+            unit = spec.lam ** (2 - window)
+            assert abs(cx) <= unit and abs(cy) <= unit
+            assert abs(ex) <= (abs(b_inv.a) + abs(b_inv.b)) * unit
+            assert abs(ey) <= (abs(b_inv.c) + abs(b_inv.d)) * unit
+            checked += 1
+
     def test_decode_rejects_non_bijective(self):
         with pytest.raises(ValueError):
             decode(make_spec(FIB, 3, 1), TorusPoint.from_fractions(0, 0, 5), 10)
@@ -420,3 +470,39 @@ class TestHomoclinicClassImage:
         for _ in range(200):
             w1, w2 = random_word(rng, 1, -1), random_word(rng, 1, -1)
             assert homoclinic_class_image_check(bac, w1, w2)
+
+
+class TestChecksUnderOptimize:
+    def test_checks_hold_under_optimize(self):
+        # the decode path's cross-checks are explicit raises, not asserts stripped by -O
+        code = textwrap.dedent(
+            """
+            from torcode import coding
+            from torcode.glz import Mat2
+            from torcode.qfield import QuadExt, dominant_eigenvalue
+
+            def refused(label, call):
+                try:
+                    call()
+                except RuntimeError:
+                    print(label, "refused")
+
+            m = Mat2(1, 1, 1, 0)
+            lam = dominant_eigenvalue(1, -1)
+            print(__debug__, coding.make_spec(m, -1, -1).multiplicity)
+            three = QuadExt(3, 0, 1, 5)  # outside the ranges the extractions are fed
+            refused("future", lambda: coding._extract_future(three, 1, lam, 4))
+            refused("past", lambda: coding._extract_past_plus(three, 3, dominant_eigenvalue(3, 1), 4))
+            real_form = coding.associated_form
+            coding.associated_form = lambda mat: real_form(mat).scale(2)
+            refused("area", lambda: coding.make_spec(m, -1, -1))
+            coding.associated_form = real_form
+            Mat2.apply = lambda self, x, y: (0, 0)
+            refused("eigenline", lambda: coding.homoclinic_point(m, -1, -1))
+            """
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["False 1", "future refused", "past refused", "area refused", "eigenline refused"]

@@ -1,5 +1,6 @@
 import decimal
 import random
+from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -47,6 +48,76 @@ class TestCanonicalization:
             QuadExt(1, 0, 1, -5)
         with pytest.raises(ValueError):
             QuadExt(1, 0, 0, 5)
+
+
+def _fields(x):
+    return (x.p, x.q, x.s, x.D)
+
+
+def _public(p, q, s, D):
+    # the textbook formula, made canonical by the validating constructor
+    return QuadExt(p, q, s, D)
+
+
+elements = st.tuples(
+    st.integers(-10**30, 10**30), st.integers(-10**30, 10**30), st.integers(-10**6, 10**6).filter(bool)
+)
+
+
+class TestResultsAreCanonical:
+    """Arithmetic results come from a trusted constructor; each must equal the
+    publicly constructed canonical element, field for field and in hash."""
+
+    def _same(self, got, want):
+        assert _fields(got) == _fields(want)
+        assert hash(got) == hash(want)
+        assert _fields(QuadExt(*_fields(got))) == _fields(got)
+
+    @given(x=elements, y=elements, D=st.sampled_from([2, 5, 8, 12, 13, 45, 10**12 + 39]))
+    @settings(max_examples=150, deadline=None)
+    def test_ring_operations(self, x, y, D):
+        (p1, q1, s1), (p2, q2, s2) = x, y
+        a, b = QuadExt(p1, q1, s1, D), QuadExt(p2, q2, s2, D)
+        (p1, q1, s1), (p2, q2, s2) = (a.p, a.q, a.s), (b.p, b.q, b.s)
+        self._same(a + b, _public(p1 * s2 + p2 * s1, q1 * s2 + q2 * s1, s1 * s2, D))
+        self._same(a - b, _public(p1 * s2 - p2 * s1, q1 * s2 - q2 * s1, s1 * s2, D))
+        self._same(a * b, _public(p1 * p2 + q1 * q2 * D, p1 * q2 + q1 * p2, s1 * s2, D))
+        self._same(-a, _public(-p1, -q1, s1, D))
+        self._same(a.conj(), _public(p1, -q1, s1, D))
+        self._same(a * a * a, a ** 3)
+        if not a.is_zero:
+            self._same(a.inverse(), _public(s1 * p1, -s1 * q1, p1 * p1 - q1 * q1 * D, D))
+            self._same(b / a, b * a.inverse())
+            self._same(a ** -2, a.inverse() * a.inverse())
+        self._same(a ** 0, _public(1, 0, 1, D))
+
+    @given(x=elements, k=st.integers(-10**20, 10**20), den=st.integers(1, 10**6), D=st.sampled_from([3, 5, 21]))
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_with_rationals(self, x, k, den, D):
+        a = QuadExt(*x, D)
+        p, q, s = a.p, a.q, a.s
+        self._same(a + k, _public(p + k * s, q, s, D))
+        self._same(k + a, _public(p + k * s, q, s, D))
+        self._same(a - k, _public(p - k * s, q, s, D))
+        self._same(k - a, _public(k * s - p, -q, s, D))
+        self._same(a * k, _public(p * k, q * k, s, D))
+        self._same(k * a, _public(p * k, q * k, s, D))
+        f = Fraction(k, den)
+        n, d = f.numerator, f.denominator
+        self._same(a + f, _public(p * d + n * s, q * d, s * d, D))
+        self._same(f - a, _public(n * s - p * d, -q * d, s * d, D))
+        self._same(a * f, _public(p * n, q * n, s * d, D))
+        self._same(a.frac(), _public(p - a.floor() * s, q, s, D))
+
+    def test_public_constructor_still_validates(self):
+        with pytest.raises(ValueError):
+            QuadExt(1, 1, 1, 4)
+        with pytest.raises(ValueError):
+            QuadExt(1, 1, 0, 5)
+        with pytest.raises(ValueError):
+            QuadExt(1, 1, 1, 0)
+        with pytest.raises(ValueError):
+            QuadExt.from_fraction(Fraction(1, 2), 49)
 
 
 class TestArithmetic:
