@@ -10,6 +10,7 @@ window was exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -233,8 +234,8 @@ def cmd_decode(args, out) -> int:
     fx, fy = _parse_point(args.point)
     _, _, D = spec.params
     target = coding.TorusPoint.from_fractions(fx, fy, D)
-    word = coding.decode(spec, target, args.window)
-    image = coding.phi_eval(spec, word)
+    word = coding.decode(spec, target, args.window)  # admissible: decode checks it
+    image = coding.phi_eval_admissible(spec, word)
     exact = image.x == target.x and image.y == target.y
     data = {
         "schema": SCHEMA_VERSION,
@@ -302,6 +303,7 @@ def cmd_plot(args, out) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="torcode", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -151,6 +151,12 @@ def phi_eval(spec: CodingSpec, w: SymWord) -> TorusPoint:
         raise InadmissibleWordError(f"word of {w.kind}({w.r}) fed to a {comp.kind}({comp.r}) coding")
     if not is_admissible(w):
         raise InadmissibleWordError(f"word {w} is not admissible")
+    return phi_eval_admissible(spec, w)
+
+
+def phi_eval_admissible(spec: CodingSpec, w: SymWord) -> TorusPoint:
+    """:func:`phi_eval` at a word of the coding's compactum that is already
+    known to be admissible, such as the result of :func:`decode`."""
     v = eff_value(w)
     return TorusPoint((v * spec.point.xi).frac(), (v * spec.point.eta).frac())
 
@@ -234,7 +240,9 @@ def enumerate_mac(m: Mat2, primitivity=None) -> tuple[int, list[CodingSpec]]:
     step = m if primitive else root[0]
     bases = base_solutions_pm(f, mmin, step=step)
     specs = [make_spec(m, x, y) for (x, y) in bases]
-    assert all(s.multiplicity == mmin for s in specs)
+    for s in specs:
+        if s.multiplicity != mmin:
+            raise RuntimeError(f"coding of {m} at ({s.point.p}, {s.point.q}) has multiplicity {s.multiplicity}, not {mmin}")
     return mmin, specs
 
 
@@ -265,9 +273,11 @@ def kernel_of_coding(spec: CodingSpec, bac: CodingSpec) -> KernelGroup:
     a, b = combo
     mm = spec.matrix
     amat = Mat2(a + b * mm.a, b * mm.b, b * mm.c, a + b * mm.d)
-    assert u * bac.point.eta == spec.point.eta
+    if u * bac.point.eta != spec.point.eta:
+        raise RuntimeError(f"the multiplier {u} of xi does not carry the base point's eta to the coding's")
     ker = kernel_group(amat)
-    assert ker.order == spec.multiplicity
+    if ker.order != spec.multiplicity:
+        raise RuntimeError(f"kernel of {amat} has order {ker.order}, not the multiplicity {spec.multiplicity}")
     return ker
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
 from typing import Optional
 
 from .binforms import associated_form, base_solutions_pm, improperly_equivalent_to_negative, integral_minimum, properly_equivalent, represent
@@ -176,11 +178,25 @@ def min_orbit_cover_bound(m: Mat2) -> OrbitCoverBound:
 
 @dataclass(frozen=True)
 class KernelGroup:
-    """Finite kernel of a torus endomorphism given by an integer matrix."""
+    """Finite kernel of a torus endomorphism given by an integer matrix.
+
+    Every element is (x, y)/denominator with integers 0 <= x, y < denominator;
+    ``points`` holds those numerator pairs in sorted order, or None when the
+    kernel is too large to enumerate.
+    """
 
     order: int
     generators: tuple[tuple[Fraction, Fraction], ...]
-    elements: Optional[tuple[tuple[Fraction, Fraction], ...]]
+    denominator: int
+    points: Optional[tuple[tuple[int, int], ...]]
+
+    @cached_property
+    def elements(self) -> Optional[tuple[tuple[Fraction, Fraction], ...]]:
+        """The elements as sorted pairs of fractions in [0, 1)."""
+        if self.points is None:
+            return None
+        frac = [Fraction(x, self.denominator) for x in range(self.denominator)]
+        return tuple((frac[x], frac[y]) for x, y in self.points)
 
     def element_set(self) -> frozenset[tuple[Fraction, Fraction]]:
         if self.elements is None:
@@ -188,41 +204,51 @@ class KernelGroup:
         return frozenset(self.elements)
 
     def as_strings(self) -> list[str]:
-        if self.elements is None:
+        """Each element as "x,y" with both coordinates in lowest terms."""
+        if self.points is None:
             raise ValueError("kernel too large to enumerate")
-        return [f"{e[0]},{e[1]}" for e in self.elements]
+        s = self.denominator
+        label = ["0"] + [f"{x // g}/{s // g}" for x in range(1, s) for g in (gcd(x, s),)]
+        return [f"{label[x]},{label[y]}" for x, y in self.points]
 
 
 _ENUMERATION_LIMIT = 10**4
 
 
 def kernel_group(b: Mat2) -> KernelGroup:
-    """Kernel of the induced torus endomorphism, as B^{-1}Z^2 / Z^2."""
+    """Kernel of the induced torus endomorphism, as B^{-1}Z^2 / Z^2.
+
+    With U*B*V = diag(s1, s2) the Smith form and k = s2/s1, the kernel is
+    V*diag(1/s1, 1/s2)*Z^2 mod Z^2, so every element is (x, y)/s2 with the
+    integer pair ((k*v.a*i + v.b*j) mod s2, (k*v.c*i + v.d*j) mod s2) for
+    0 <= i < s1 and 0 <= j < s2.  Kernels of order up to the enumeration
+    limit are enumerated, checked and sorted in these integers; sorting the
+    pairs sorts the fractions.  Three checks raise RuntimeError: the order
+    s1*s2 equals |det B|, the pairs are exactly that many distinct points,
+    and B*(x, y) = 0 mod s2 for every one of them.
+    """
     det = b.det
     if det == 0:
         raise ValueError(f"matrix {b} is singular")
     s, _, v = smith_normal_form(b)
     s1, s2 = s.a, s.d
     order = s1 * s2
-    assert order == abs(det)
+    if order != abs(det):
+        raise RuntimeError(f"Smith form diag({s1}, {s2}) of {b} has order {order}, not |det| = {abs(det)}")
     gens = []
     for col, si in (((v.a, v.c), s1), ((v.b, v.d), s2)):
         if si > 1:
             gens.append((Fraction(col[0], si) % 1, Fraction(col[1], si) % 1))
-    elements = None
+    points = None
     if order <= _ENUMERATION_LIMIT:
-        elems = set()
-        for i in range(s1):
-            for j in range(s2):
-                x = Fraction(v.a * i, s1) + Fraction(v.b * j, s2)
-                y = Fraction(v.c * i, s1) + Fraction(v.d * j, s2)
-                elems.add((x % 1, y % 1))
-        assert len(elems) == order
-        for x, y in elems:
-            bx, by = b.apply(x, y)
-            assert bx.denominator == 1 and by.denominator == 1
-        elements = tuple(sorted(elems))
-    return KernelGroup(order=order, generators=tuple(gens), elements=elements)
+        k = s2 // s1
+        pts = {((k * v.a * i + v.b * j) % s2, (k * v.c * i + v.d * j) % s2) for i in range(s1) for j in range(s2)}
+        if len(pts) != order:
+            raise RuntimeError(f"kernel of {b} enumerated {len(pts)} distinct points, expected {order}")
+        if any((b.a * x + b.b * y) % s2 or (b.c * x + b.d * y) % s2 for x, y in pts):
+            raise RuntimeError(f"an enumerated point of the kernel of {b} is not annihilated by it")
+        points = tuple(sorted(pts))
+    return KernelGroup(order=order, generators=tuple(gens), denominator=s2, points=points)
 
 
 def kernel_isomorphic_under_matrix(m: Mat2, k1: KernelGroup, k2: KernelGroup, bound: int = 12) -> bool:

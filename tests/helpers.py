@@ -3,8 +3,9 @@ from __future__ import annotations
 
 import decimal
 import random
+from fractions import Fraction
 
-from torcode.intmat import Mat2
+from torcode.intmat import Mat2, smith_normal_form
 from torcode.glz import companion
 from torcode.qfield import QuadExt, dominant_eigenvalue
 
@@ -100,3 +101,26 @@ def power_sum_eff_value(w):
     elif w.left_tail == "const_r2":
         total = total - (lam - (w.r - 1)) * lam ** (1 - w.offset)
     return total
+
+
+# -- kernels by Fraction arithmetic ---------------------------------------------
+# A slow differential oracle for glz.kernel_group, which enumerates, checks and
+# sorts integer pairs over the common denominator s2.
+
+
+def fraction_kernel_elements(b: Mat2) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Sorted elements of B^{-1}Z^2 / Z^2 as Fraction pairs in [0, 1), each
+    built as V*(i/s1, j/s2) mod 1 from the Smith form U*B*V = diag(s1, s2)."""
+    s, _, v = smith_normal_form(b)
+    s1, s2 = s.a, s.d
+    elems = set()
+    for i in range(s1):
+        for j in range(s2):
+            x = Fraction(v.a * i, s1) + Fraction(v.b * j, s2)
+            y = Fraction(v.c * i, s1) + Fraction(v.d * j, s2)
+            elems.add((x % 1, y % 1))
+    assert len(elems) == abs(b.det)
+    for x, y in elems:
+        bx, by = b.apply(x, y)
+        assert bx.denominator == 1 and by.denominator == 1
+    return tuple(sorted(elems))

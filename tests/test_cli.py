@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import jsonschema
 import pytest
 
-from torcode import cli, coding, glz
+from torcode import betasym, cli, coding, glz
 from torcode.coding import enumerate_mac, semiconjugacy_kernel
 from torcode.glz import Mat2
 from torcode.qfield import dominant_eigenvalue
@@ -119,6 +119,12 @@ class TestBacMac:
         assert data["m"] == 3000
         assert [len(k) for k in data["kernels"]] == [3000] * len(data["specs"])
 
+    def test_mac_kernel_too_large_exits_1(self, capsys):
+        # F^21: integral minimum 10946 is above the kernel enumeration limit
+        rc, out = run(["mac", "--matrix=17711,10946,10946,6765"])
+        assert (rc, out) == (1, "")
+        assert capsys.readouterr().err == "error: kernel too large to enumerate\n"
+
     def test_mac_counterexample3(self):
         data = run_json(["mac", "--matrix", "27,11,5,2"])
         jsonschema.validate(data, SPEC_LIST_SCHEMA)
@@ -157,6 +163,44 @@ class TestInvariantsComputedOnce:
             data = run_json(["analyze", "--matrix", matrix])
             assert data["primitive"] is primitive
             assert len(calls) == 1 and len(conj) == 1
+
+    def test_one_admissibility_check_per_decode(self, monkeypatch):
+        calls = self._count(monkeypatch, "is_admissible", [betasym, coding])
+        for point, exact in (("0,0", True), ("1/5,2/5", False), ("2/7,3/11", False)):
+            calls.clear()
+            data = run_json(["decode", "--matrix", "1,1,1,0", "--param=-1,-1", "--point", point, "--window", "30"])
+            assert data["round_trip_exact"] is exact
+            assert len(calls) == 1
+
+
+class TestParserCache:
+    ARGVS = (
+        ["analyze", "--matrix", "2,1,1,1", "--format", "json"],
+        ["decode", "--matrix", "1,1,1,0", "--param=-1,-1", "--point", "1/5,2/5"],
+        ["mac", "--matrix", "27,11,5,2"],
+        ["bac", "--matrix", "1,1,1,0", "--bogus"],
+    )
+
+    def test_cached_parser_matches_fresh(self, capsys):
+        fresh = []
+        for argv in self.ARGVS:
+            cli._build_parser.cache_clear()
+            fresh.append((run(argv), capsys.readouterr().err))
+        cli._build_parser.cache_clear()
+        cached = [(run(argv), capsys.readouterr().err) for argv in self.ARGVS]
+        assert cli._build_parser.cache_info().misses == 1
+        assert [rc for (rc, _), _ in cached] == [0, 0, 0, 1]
+        assert cached == fresh
+
+    def test_help_unchanged(self, capsys):
+        for argv in (["--help"], ["decode", "--help"]):
+            cli._build_parser.cache_clear()
+            assert cli.main(argv) == 0
+            fresh = capsys.readouterr().out
+            assert run(self.ARGVS[0])[0] == 0
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out == fresh
+            assert fresh.startswith("usage: torcode")
 
 
 class TestEncodeDecode:

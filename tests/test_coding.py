@@ -474,9 +474,10 @@ class TestHomoclinicClassImage:
 
 class TestChecksUnderOptimize:
     def test_checks_hold_under_optimize(self):
-        # the decode path's cross-checks are explicit raises, not asserts stripped by -O
+        # the coding layer's cross-checks are explicit raises, not asserts stripped by -O
         code = textwrap.dedent(
             """
+            import dataclasses
             from torcode import coding
             from torcode.glz import Mat2
             from torcode.qfield import QuadExt, dominant_eigenvalue
@@ -497,6 +498,18 @@ class TestChecksUnderOptimize:
             coding.associated_form = lambda mat: real_form(mat).scale(2)
             refused("area", lambda: coding.make_spec(m, -1, -1))
             coding.associated_form = real_form
+            bac, spec, m80 = coding.enumerate_bac(m, (0, 0))[0], coding.make_spec(m, 3, 1), Mat2(80, 9, 9, 1)
+            print(coding.kernel_of_coding(spec, bac).order, coding.enumerate_mac(m80)[0])
+            real_kernel = coding.kernel_group
+            coding.kernel_group = lambda mat: real_kernel(Mat2(2, 0, 0, 1))
+            refused("kernel order", lambda: coding.kernel_of_coding(spec, bac))
+            coding.kernel_group = real_kernel
+            moved = dataclasses.replace(spec, point=dataclasses.replace(spec.point, eta=spec.point.eta + 1))
+            refused("eta", lambda: coding.kernel_of_coding(moved, bac))
+            real_spec = coding.make_spec
+            coding.make_spec = lambda mat, p, q: dataclasses.replace(real_spec(mat, p, q), multiplicity=0)
+            refused("mac multiplicity", lambda: coding.enumerate_mac(m80))
+            coding.make_spec = real_spec
             Mat2.apply = lambda self, x, y: (0, 0)
             refused("eigenline", lambda: coding.homoclinic_point(m, -1, -1))
             """
@@ -505,4 +518,14 @@ class TestChecksUnderOptimize:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["False 1", "future refused", "past refused", "area refused", "eigenline refused"]
+        assert proc.stdout.splitlines() == [
+            "False 1",
+            "future refused",
+            "past refused",
+            "area refused",
+            "5 9",
+            "kernel order refused",
+            "eta refused",
+            "mac multiplicity refused",
+            "eigenline refused",
+        ]

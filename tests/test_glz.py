@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from torcode import glz
 from torcode.binforms import BinForm, associated_form, integral_minimum
+from torcode.intmat import smith_normal_form
 from torcode.glz import (
     Mat2,
     companion,
@@ -24,7 +26,7 @@ from torcode.glz import (
     require_hyperbolic,
 )
 
-from helpers import random_hyperbolic, random_unimodular
+from helpers import fraction_kernel_elements, random_hyperbolic, random_unimodular
 
 
 class TestHyperbolicity:
@@ -323,6 +325,71 @@ class TestKernelGroup:
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
             kernel_group(Mat2(1, 1, 1, 1))
+
+    def test_matches_fraction_oracle(self):
+        rng = random.Random(61)
+        cases = [Mat2(100, 0, 0, -100), Mat2(-6, 4, 9, 6), Mat2(10**4, 0, 0, 1), Mat2(0, -1, 10**4, 0)]
+        while len(cases) < 60:
+            scaled = len(cases) % 3 == 0  # B = k*B' has s1 > 1
+            h = rng.choice((5, 12) if scaled else (5, 40, 120))
+            b = Mat2(*(rng.randrange(-h, h + 1) for _ in range(4)))
+            if scaled:
+                c = rng.choice((-4, -2, 2, 3, 7))
+                b = Mat2(c * b.a, c * b.b, c * b.c, c * b.d)
+            if 0 < abs(b.det) <= 10**4:
+                cases.append(b)
+        assert any(c.det < 0 for c in cases) and any(c.det > 0 for c in cases)
+        assert sum(smith_normal_form(c)[0].a > 1 for c in cases) >= 15
+        for b in cases:
+            k = kernel_group(b)
+            want = fraction_kernel_elements(b)
+            assert k.order == abs(b.det) == len(k.points)
+            assert k.elements == want
+            assert k.as_strings() == [f"{x},{y}" for x, y in want]
+
+    def test_too_large_not_enumerated(self):
+        for b in (Mat2(10**4 + 1, 0, 0, 1), Mat2(101, 0, 0, -101), Mat2(123, 45, 67, 110)):
+            k = kernel_group(b)
+            assert k.order == abs(b.det) > glz._ENUMERATION_LIMIT
+            assert k.points is None and k.elements is None
+            for call in (k.as_strings, k.element_set):
+                with pytest.raises(ValueError, match="^kernel too large to enumerate$"):
+                    call()
+
+    def test_checks_hold_under_optimize(self):
+        # the enumeration's checks are explicit raises, not asserts stripped by -O
+        code = textwrap.dedent(
+            """
+            from torcode import glz
+            from torcode.intmat import Mat2
+
+            def refused(label, call):
+                try:
+                    call()
+                except RuntimeError:
+                    print(label, "refused")
+
+            b = Mat2(1, 2, 2, -1)
+            print(__debug__, glz.kernel_group(b).as_strings())
+            s, u, v = glz.smith_normal_form(b)
+            glz.smith_normal_form = lambda m: (Mat2(1, 0, 0, 4), u, v)
+            refused("order", lambda: glz.kernel_group(b))
+            glz.smith_normal_form = lambda m: (s, u, Mat2(v.a, 0, v.c, 0))
+            refused("distinct", lambda: glz.kernel_group(b))
+            glz.smith_normal_form = lambda m: (s, u, Mat2.identity())
+            refused("annihilated", lambda: glz.kernel_group(b))
+            """
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "False ['0,0', '1/5,2/5', '2/5,4/5', '3/5,1/5', '4/5,3/5']",
+            "order refused",
+            "distinct refused",
+            "annihilated refused",
+        ]
 
 
 class TestKernelIsomorphy:
